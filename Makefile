@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-check vet lint check fuzz-smoke experiments tools clean
+.PHONY: all build test race bench bench-check bench-smoke vet lint check fuzz-smoke experiments tools clean
 
 # Per-target budget for the fuzz smoke pass (see fuzz-smoke).
 FUZZTIME ?= 30s
@@ -38,13 +38,15 @@ lint: vet
 check: build vet lint test race
 
 # Short fuzz pass over the wire-format decoders (plus the differential
-# pooled-vs-reference decode target); CI runs this on every push. Crash
+# targets: pooled-vs-reference decode, production-vs-reference encode);
+# CI runs this on every push. Crash
 # inputs land in <pkg>/testdata/fuzz/ — commit them so they become
 # permanent regression seeds.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMsgRoundTrip -fuzztime=$(FUZZTIME) ./internal/dnsmsg
 	$(GO) test -fuzz=FuzzUnpackPooledEquivalence -fuzztime=$(FUZZTIME) ./internal/dnsmsg
 	$(GO) test -fuzz=FuzzNameUnpack -fuzztime=$(FUZZTIME) ./internal/dnsmsg
+	$(GO) test -fuzz=FuzzPackDifferential -fuzztime=$(FUZZTIME) ./internal/dnsmsg
 	$(GO) test -fuzz='^FuzzZoneParse$$' -fuzztime=$(FUZZTIME) ./internal/zone
 	$(GO) test -fuzz=FuzzZoneParseDifferential -fuzztime=$(FUZZTIME) ./internal/zone
 	$(GO) test -fuzz='^FuzzPCAPRead$$' -fuzztime=$(FUZZTIME) ./internal/pcap
@@ -68,12 +70,22 @@ bench:
 # allocation-free. The second -speedup gates the batched replay engine
 # against its per-item reference plane on the in-process fabric pair
 # (same run, same fabric — hardware cancels out; see bench_test.go for
-# why the loopback variants are reported but not gated).
+# why the loopback variants are reported but not gated). The third
+# holds the map-free wire encoder to at least twice the messages/s of
+# the map-based reference encoder on DNSSEC-signed responses.
 bench-check:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/transport ./internal/dnsmsg ./internal/server ./internal/zone ./internal/pcap ./internal/netsim ./internal/replay > bench.new || { cat bench.new; rm -f bench.new; exit 1; }
 	$(GO) run ./cmd/ldp-benchdiff -baseline bench.out -new bench.new -match 'internal/(transport|dnsmsg|server|zone|pcap|netsim|replay)\.' \
 		-speedup 'recs/s:ldplayer/internal/zone.BenchmarkZoneParseStreaming:ldplayer/internal/zone.BenchmarkZoneParseClassic:10' \
-		-speedup 'qps:ldplayer/internal/replay.BenchmarkReplayFastUDP:ldplayer/internal/replay.BenchmarkReplayFastUDPReference:5'
+		-speedup 'qps:ldplayer/internal/replay.BenchmarkReplayFastUDP:ldplayer/internal/replay.BenchmarkReplayFastUDPReference:5' \
+		-speedup 'msgs/s:ldplayer/internal/dnsmsg.BenchmarkMsgPackDNSSEC:ldplayer/internal/dnsmsg.BenchmarkMsgPackDNSSECReference:2'
+
+# Smoke test of the fused replay→server benchmark (fusedbench/, its own
+# module): builds ldp-server, runs every workload briefly, untraced and
+# traced, and checks that each metric BENCHMARK.json declares is
+# emitted with its unit and that the correctness gate passes. About 20 s.
+bench-smoke:
+	cd fusedbench && $(GO) test .
 
 # Regenerate every table and figure (about six minutes at small scale).
 experiments:

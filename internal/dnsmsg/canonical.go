@@ -4,7 +4,7 @@ package dnsmsg
 // compression). Other packages use it for rdata equality checks and
 // digest computation.
 func AppendRData(buf []byte, d RData) ([]byte, error) {
-	return d.appendRData(buf, nil, false)
+	return d.appendRData(buf)
 }
 
 // AppendCanonicalRR serializes a full RR in RFC 4034 §6 canonical form:
@@ -13,12 +13,12 @@ func AppendRData(buf []byte, d RData) ([]byte, error) {
 // in this codec, so the distinction from AppendRR is the absence of
 // compression in rdata.
 func AppendCanonicalRR(buf []byte, rr RR) ([]byte, error) {
-	return appendRR(buf, rr, nil, true)
+	return appendRR(buf, rr, nil)
 }
 
 // AppendRR serializes a full RR without message context (no compression).
 func AppendRR(buf []byte, rr RR) ([]byte, error) {
-	return appendRR(buf, rr, nil, false)
+	return appendRR(buf, rr, nil)
 }
 
 // AppendNameWire serializes just a domain name in uncompressed wire form

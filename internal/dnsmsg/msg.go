@@ -131,15 +131,17 @@ func (m *Msg) Pack() ([]byte, error) {
 	return m.AppendPack(make([]byte, 0, 512))
 }
 
-// AppendPack serializes the message onto buf. The compression map is
-// scoped to this message, so buf should be empty or the caller must not
-// care about cross-message pointer validity (it is always message-local
-// here because offsets are taken relative to the start of buf).
+// AppendPack serializes the message onto buf, which must be empty:
+// compression offsets are taken relative to the start of buf. The
+// compression table starts on the stack and moves to the heap only for
+// messages with more distinct name suffixes than it holds.
 func (m *Msg) AppendPack(buf []byte) ([]byte, error) {
 	if len(buf) != 0 {
 		return nil, errPackNonEmpty(len(buf))
 	}
-	return m.appendPack(buf, make(map[Name]int, 8))
+	var slots [32]centry
+	c := compressor{slots: slots[:], gen: 1}
+	return m.appendPack(buf, &c)
 }
 
 // errPackNonEmpty rejects packing after existing bytes: compression
@@ -149,9 +151,9 @@ func errPackNonEmpty(n int) error {
 	return fmt.Errorf("dnsmsg: AppendPack requires empty buffer, got %d bytes", n)
 }
 
-// appendPack is the body shared by AppendPack (fresh compression map)
-// and PackBuffer (arena-held, cleared map).
-func (m *Msg) appendPack(buf []byte, cmap map[Name]int) ([]byte, error) {
+// appendPack is the body shared by AppendPack (stack-held compression
+// table) and PackBuffer (arena-held table).
+func (m *Msg) appendPack(buf []byte, c *compressor) ([]byte, error) {
 	var flags uint16
 	if m.Response {
 		flags |= 1 << 15
@@ -186,7 +188,7 @@ func (m *Msg) appendPack(buf []byte, cmap map[Name]int) ([]byte, error) {
 
 	var err error
 	for _, q := range m.Question {
-		if buf, err = appendName(buf, q.Name, cmap); err != nil {
+		if buf, err = appendName(buf, q.Name, c); err != nil {
 			return nil, err
 		}
 		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Type))
@@ -194,7 +196,7 @@ func (m *Msg) appendPack(buf []byte, cmap map[Name]int) ([]byte, error) {
 	}
 	for _, sec := range [][]RR{m.Answer, m.Authority, m.Additional} {
 		for _, rr := range sec {
-			if buf, err = appendRR(buf, rr, cmap, false); err != nil {
+			if buf, err = appendRR(buf, rr, c); err != nil {
 				return nil, err
 			}
 		}

@@ -170,33 +170,41 @@ func (n Name) WireLen() int {
 	return len(n) + 1
 }
 
-// appendName encodes n at the end of buf. When cmap is non-nil it applies
+// appendName encodes n at the end of buf. When c is non-nil it applies
 // RFC 1035 message compression: each suffix already emitted at an offset
 // < 0x4000 is replaced with a pointer, and new suffixes are recorded.
-func appendName(buf []byte, n Name, cmap map[Name]int) ([]byte, error) {
+func appendName(buf []byte, n Name, c *compressor) ([]byte, error) {
 	if n == "" {
 		n = Root
 	}
-	rest := n
-	for !rest.IsRoot() {
-		if cmap != nil {
-			if off, ok := cmap[rest]; ok {
+	var h suffixHasher
+	if c != nil && !n.IsRoot() {
+		h = newSuffixHasher(string(n))
+	}
+	// rest steps through the suffixes as Name.Parent does: past the next
+	// dot, to the root once only the trailing dot is left.
+	for rest := string(n); rest != string(Root); {
+		if c != nil {
+			if off, ok := c.find(rest, h.hash(), len(buf)); ok {
 				return append(buf, 0xC0|byte(off>>8), byte(off)), nil
 			}
-			if len(buf) < 0x4000 {
-				cmap[rest] = len(buf)
-			}
 		}
-		label := string(rest)
-		if i := strings.IndexByte(label, '.'); i >= 0 {
-			label = label[:i]
+		label, next := rest, string(Root)
+		if i := strings.IndexByte(rest, '.'); i >= 0 {
+			label = rest[:i]
+			if i+1 < len(rest) {
+				next = rest[i+1:]
+			}
 		}
 		if len(label) > MaxLabelLen {
 			return buf, ErrLabelTooLong
 		}
 		buf = append(buf, byte(len(label)))
 		buf = append(buf, label...)
-		rest = rest.Parent()
+		if c != nil {
+			h.next(label)
+		}
+		rest = next
 	}
 	return append(buf, 0), nil
 }

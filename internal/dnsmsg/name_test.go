@@ -115,14 +115,15 @@ func TestNameRoundTripWire(t *testing.T) {
 }
 
 func TestNameCompression(t *testing.T) {
-	cmap := make(map[Name]int)
-	buf, err := appendName(nil, "www.example.com.", cmap)
+	var c compressor
+	c.reset()
+	buf, err := appendName(nil, "www.example.com.", &c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := len(buf)
 	// Second occurrence of a shared suffix must compress to a pointer.
-	buf, err = appendName(buf, "mail.example.com.", cmap)
+	buf, err = appendName(buf, "mail.example.com.", &c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ type arena struct {
 	opt    []OPT
 	raw    []Raw
 
-	cmap map[Name]int // compression map reused by PackBuffer
+	cmp compressor // compression table reused by PackBuffer
 }
 
 // reset rewinds every slab, keeping capacity. Stale entries beyond the
@@ -89,8 +89,7 @@ func (ar *arena) reset() {
 	ar.nsec = ar.nsec[:0]
 	ar.opt = ar.opt[:0]
 	ar.raw = ar.raw[:0]
-	// cmap is cleared lazily by PackBuffer: its stale keys are never
-	// read between packs, clearing here would just do the work twice.
+	// cmp is reset by PackBuffer itself: decoding never reads it.
 }
 
 // bytes copies src into the arena and returns the copy, nil for empty
@@ -501,7 +500,7 @@ func (m *Msg) UnpackBuffer(data []byte) error {
 }
 
 // PackBuffer serializes the message onto buf (which must be empty, as
-// for AppendPack) reusing the message's arena-held compression map, so
+// for AppendPack) reusing the message's arena-held compression table, so
 // steady-state packing of a pooled message allocates only when buf is
 // too small.
 func (m *Msg) PackBuffer(buf []byte) ([]byte, error) {
@@ -511,12 +510,8 @@ func (m *Msg) PackBuffer(buf []byte) ([]byte, error) {
 	if m.ar == nil {
 		m.ar = &arena{}
 	}
-	if m.ar.cmap == nil {
-		m.ar.cmap = make(map[Name]int, 8)
-	} else {
-		clear(m.ar.cmap)
-	}
-	return m.appendPack(buf, m.ar.cmap)
+	m.ar.cmp.reset()
+	return m.appendPack(buf, &m.ar.cmp)
 }
 
 // Clone returns a copy of the name backed by its own memory, safe to

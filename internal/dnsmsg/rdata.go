@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -13,14 +14,13 @@ import (
 
 // RData is the type-specific payload of a resource record.
 //
-// appendRData serializes the rdata (without the RDLENGTH prefix) to buf.
-// When cmap is non-nil, names inside compressible rdata (NS, CNAME, SOA,
-// PTR, MX, SRV targets per RFC 3597 §4 conventions) use message
-// compression; DNSSEC rdata never compresses. When canonical is true,
-// embedded names are emitted uncompressed and lowercase for RFC 4034
-// canonical form.
+// appendRData serializes the rdata (without the RDLENGTH prefix) to buf
+// with every embedded name uncompressed, which is also the RFC 4034
+// canonical form (names are stored lowercase). Message compression of
+// the names in NS, CNAME, PTR, SOA and MX rdata is applied by
+// appendRDataCompressed instead.
 type RData interface {
-	appendRData(buf []byte, cmap map[Name]int, canonical bool) ([]byte, error)
+	appendRData(buf []byte) ([]byte, error)
 	// String returns the presentation (master-file) form of the rdata.
 	String() string
 }
@@ -44,7 +44,7 @@ func (rr RR) String() string {
 
 // WireLen returns the uncompressed encoded size of the record.
 func (rr RR) WireLen() int {
-	b, err := appendRR(nil, rr, nil, false)
+	b, err := appendRR(nil, rr, nil)
 	if err != nil {
 		return 0
 	}
@@ -54,7 +54,7 @@ func (rr RR) WireLen() int {
 // A is an IPv4 address record.
 type A struct{ Addr netip.Addr }
 
-func (d A) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d A) appendRData(buf []byte) ([]byte, error) {
 	a := d.Addr.As4()
 	return append(buf, a[:]...), nil
 }
@@ -63,7 +63,7 @@ func (d A) String() string { return d.Addr.String() }
 // AAAA is an IPv6 address record.
 type AAAA struct{ Addr netip.Addr }
 
-func (d AAAA) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d AAAA) appendRData(buf []byte) ([]byte, error) {
 	a := d.Addr.As16()
 	return append(buf, a[:]...), nil
 }
@@ -72,33 +72,24 @@ func (d AAAA) String() string { return d.Addr.String() }
 // NS names an authoritative nameserver for the owner.
 type NS struct{ Host Name }
 
-func (d NS) appendRData(buf []byte, cmap map[Name]int, canonical bool) ([]byte, error) {
-	if canonical {
-		cmap = nil
-	}
-	return appendName(buf, d.Host, cmap)
+func (d NS) appendRData(buf []byte) ([]byte, error) {
+	return appendName(buf, d.Host, nil)
 }
 func (d NS) String() string { return string(d.Host) }
 
 // CNAME aliases the owner to another name.
 type CNAME struct{ Target Name }
 
-func (d CNAME) appendRData(buf []byte, cmap map[Name]int, canonical bool) ([]byte, error) {
-	if canonical {
-		cmap = nil
-	}
-	return appendName(buf, d.Target, cmap)
+func (d CNAME) appendRData(buf []byte) ([]byte, error) {
+	return appendName(buf, d.Target, nil)
 }
 func (d CNAME) String() string { return string(d.Target) }
 
 // PTR maps an address back to a name.
 type PTR struct{ Target Name }
 
-func (d PTR) appendRData(buf []byte, cmap map[Name]int, canonical bool) ([]byte, error) {
-	if canonical {
-		cmap = nil
-	}
-	return appendName(buf, d.Target, cmap)
+func (d PTR) appendRData(buf []byte) ([]byte, error) {
+	return appendName(buf, d.Target, nil)
 }
 func (d PTR) String() string { return string(d.Target) }
 
@@ -108,15 +99,15 @@ type SOA struct {
 	Serial, Refresh, Retry, Expire, Minimum uint32
 }
 
-func (d SOA) appendRData(buf []byte, cmap map[Name]int, canonical bool) ([]byte, error) {
-	if canonical {
-		cmap = nil
-	}
+func (d SOA) appendRData(buf []byte) ([]byte, error) { return d.pack(buf, nil) }
+
+// pack writes the rdata, compressing both names through c if non-nil.
+func (d SOA) pack(buf []byte, c *compressor) ([]byte, error) {
 	var err error
-	if buf, err = appendName(buf, d.MName, cmap); err != nil {
+	if buf, err = appendName(buf, d.MName, c); err != nil {
 		return buf, err
 	}
-	if buf, err = appendName(buf, d.RName, cmap); err != nil {
+	if buf, err = appendName(buf, d.RName, c); err != nil {
 		return buf, err
 	}
 	return binary.BigEndian.AppendUint32(
@@ -136,19 +127,19 @@ type MX struct {
 	Host       Name
 }
 
-func (d MX) appendRData(buf []byte, cmap map[Name]int, canonical bool) ([]byte, error) {
-	if canonical {
-		cmap = nil
-	}
+func (d MX) appendRData(buf []byte) ([]byte, error) { return d.pack(buf, nil) }
+
+// pack writes the rdata, compressing the host through c if non-nil.
+func (d MX) pack(buf []byte, c *compressor) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, d.Preference)
-	return appendName(buf, d.Host, cmap)
+	return appendName(buf, d.Host, c)
 }
 func (d MX) String() string { return fmt.Sprintf("%d %s", d.Preference, d.Host) }
 
 // TXT holds one or more character-strings.
 type TXT struct{ Strings []string }
 
-func (d TXT) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d TXT) appendRData(buf []byte) ([]byte, error) {
 	for _, s := range d.Strings {
 		if len(s) > 255 {
 			return buf, fmt.Errorf("dnsmsg: TXT string exceeds 255 bytes")
@@ -172,7 +163,7 @@ type SRV struct {
 	Target                 Name
 }
 
-func (d SRV) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d SRV) appendRData(buf []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, d.Priority)
 	buf = binary.BigEndian.AppendUint16(buf, d.Weight)
 	buf = binary.BigEndian.AppendUint16(buf, d.Port)
@@ -190,7 +181,7 @@ type DS struct {
 	Digest     []byte
 }
 
-func (d DS) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d DS) appendRData(buf []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, d.KeyTag)
 	buf = append(buf, d.Algorithm, d.DigestType)
 	return append(buf, d.Digest...), nil
@@ -208,7 +199,7 @@ type DNSKEY struct {
 	PublicKey []byte
 }
 
-func (d DNSKEY) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d DNSKEY) appendRData(buf []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, d.Flags)
 	buf = append(buf, d.Protocol, d.Algorithm)
 	return append(buf, d.PublicKey...), nil
@@ -220,7 +211,7 @@ func (d DNSKEY) String() string {
 
 // KeyTag computes the RFC 4034 Appendix B key tag over the DNSKEY rdata.
 func (d DNSKEY) KeyTag() uint16 {
-	rdata, _ := d.appendRData(nil, nil, false) //ldp:nolint errcheck — DNSKEY rdata is length-prefixed byte fields; encoding cannot fail
+	rdata, _ := d.appendRData(nil) //ldp:nolint errcheck — DNSKEY rdata is length-prefixed byte fields; encoding cannot fail
 	var ac uint32
 	for i, b := range rdata {
 		if i&1 == 1 {
@@ -246,7 +237,7 @@ type RRSIG struct {
 	Signature   []byte
 }
 
-func (d RRSIG) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d RRSIG) appendRData(buf []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(d.TypeCovered))
 	buf = append(buf, d.Algorithm, d.Labels)
 	buf = binary.BigEndian.AppendUint32(buf, d.OrigTTL)
@@ -272,7 +263,7 @@ type NSEC struct {
 	Types    []Type
 }
 
-func (d NSEC) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d NSEC) appendRData(buf []byte) ([]byte, error) {
 	var err error
 	if buf, err = appendName(buf, d.NextName, nil); err != nil {
 		return buf, err
@@ -288,32 +279,55 @@ func (d NSEC) String() string {
 	return strings.Join(parts, " ")
 }
 
-// appendTypeBitmap encodes the RFC 4034 §4.1.2 windowed type bitmap.
+// appendTypeBitmap encodes the RFC 4034 §4.1.2 windowed type bitmap:
+// for each 256-type window holding a type, in ascending order, the
+// window number, the bitmap length, and the bitmap up to its last
+// nonzero byte. Types may be unsorted and repeated. One pass over the
+// types marks the windows present and builds the lowest window's bitmap
+// (window 0, the only one most NSEC records have); each further window
+// takes one more pass. Nothing is allocated.
 func appendTypeBitmap(buf []byte, types []Type) []byte {
 	if len(types) == 0 {
 		return buf
 	}
-	windows := map[byte][]byte{}
+	var present [4]uint64 // bit w: window w holds a type
+	var bm [32]byte       // bitmap of the window being built
+	low, n := Type(256), 0
 	for _, t := range types {
-		w := byte(t >> 8)
-		lo := byte(t & 0xFF)
-		bm := windows[w]
-		need := int(lo/8) + 1
-		for len(bm) < need {
-			bm = append(bm, 0)
+		w := t >> 8
+		present[w>>6] |= 1 << (w & 63)
+		if w < low {
+			low, bm, n = w, [32]byte{}, 0
 		}
-		bm[lo/8] |= 0x80 >> (lo % 8)
-		windows[w] = bm
+		if w == low {
+			n = setTypeBit(&bm, n, t)
+		}
 	}
-	for w := 0; w < 256; w++ {
-		bm, ok := windows[byte(w)]
-		if !ok {
-			continue
+	buf = append(buf, byte(low), byte(n))
+	buf = append(buf, bm[:n]...)
+	present[low>>6] &^= 1 << (low & 63)
+	for i, word := range present {
+		for ; word != 0; word &= word - 1 {
+			w := Type(i<<6 | bits.TrailingZeros64(word))
+			bm, n = [32]byte{}, 0
+			for _, t := range types {
+				if t>>8 == w {
+					n = setTypeBit(&bm, n, t)
+				}
+			}
+			buf = append(buf, byte(w), byte(n))
+			buf = append(buf, bm[:n]...)
 		}
-		buf = append(buf, byte(w), byte(len(bm)))
-		buf = append(buf, bm...)
 	}
 	return buf
+}
+
+// setTypeBit sets t's bit in its window's bitmap bm, whose used length
+// is n, and returns the new used length.
+func setTypeBit(bm *[32]byte, n int, t Type) int {
+	lo := byte(t)
+	bm[lo/8] |= 0x80 >> (lo % 8)
+	return max(n, int(lo/8)+1)
 }
 
 // OPT is the EDNS0 pseudo-record payload (RFC 6891). The UDP size, DO bit
@@ -329,7 +343,7 @@ type EDNSOption struct {
 	Data []byte
 }
 
-func (d OPT) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d OPT) appendRData(buf []byte) ([]byte, error) {
 	for _, o := range d.Options {
 		buf = binary.BigEndian.AppendUint16(buf, o.Code)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(o.Data)))
@@ -342,7 +356,7 @@ func (d OPT) String() string { return fmt.Sprintf("OPT %d options", len(d.Option
 // Raw carries rdata of a type this codec does not model (RFC 3597).
 type Raw struct{ Data []byte }
 
-func (d Raw) appendRData(buf []byte, _ map[Name]int, _ bool) ([]byte, error) {
+func (d Raw) appendRData(buf []byte) ([]byte, error) {
 	return append(buf, d.Data...), nil
 }
 func (d Raw) String() string {
@@ -350,14 +364,11 @@ func (d Raw) String() string {
 }
 
 // appendRR serializes a full RR including owner, fixed header and
-// length-prefixed rdata.
-func appendRR(buf []byte, rr RR, cmap map[Name]int, canonical bool) ([]byte, error) {
+// length-prefixed rdata. A nil c writes every name uncompressed, which
+// is the RFC 4034 §6 canonical form.
+func appendRR(buf []byte, rr RR, c *compressor) ([]byte, error) {
 	var err error
-	if canonical {
-		if buf, err = appendName(buf, rr.Name, nil); err != nil {
-			return buf, err
-		}
-	} else if buf, err = appendName(buf, rr.Name, cmap); err != nil {
+	if buf, err = appendName(buf, rr.Name, c); err != nil {
 		return buf, err
 	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Type))
@@ -368,7 +379,12 @@ func appendRR(buf []byte, rr RR, cmap map[Name]int, canonical bool) ([]byte, err
 	if rr.Data == nil {
 		return buf, fmt.Errorf("dnsmsg: RR %s %s has nil rdata", rr.Name, rr.Type)
 	}
-	if buf, err = rr.Data.appendRData(buf, cmap, canonical); err != nil {
+	if c != nil {
+		buf, err = appendRDataCompressed(buf, rr.Data, c)
+	} else {
+		buf, err = rr.Data.appendRData(buf)
+	}
+	if err != nil {
 		return buf, err
 	}
 	rdlen := len(buf) - lenOff - 2
@@ -377,6 +393,40 @@ func appendRR(buf []byte, rr RR, cmap map[Name]int, canonical bool) ([]byte, err
 	}
 	binary.BigEndian.PutUint16(buf[lenOff:], uint16(rdlen))
 	return buf, nil
+}
+
+// appendRDataCompressed serializes d with message compression applied to
+// the names RFC 3597 §4 allows to be compressed: those in NS, CNAME,
+// PTR, SOA and MX rdata, in the value form and the pointer form the
+// arena decoder produces. Every other type, DNSSEC rdata and the SRV
+// target included, is written as appendRData writes it. A type switch
+// instead of an RData method keeps c off the heap: Pack holds the table
+// on its stack, and passing it through an interface call would make it
+// escape.
+func appendRDataCompressed(buf []byte, d RData, c *compressor) ([]byte, error) {
+	switch d := d.(type) {
+	case NS:
+		return appendName(buf, d.Host, c)
+	case *NS:
+		return appendName(buf, d.Host, c)
+	case CNAME:
+		return appendName(buf, d.Target, c)
+	case *CNAME:
+		return appendName(buf, d.Target, c)
+	case PTR:
+		return appendName(buf, d.Target, c)
+	case *PTR:
+		return appendName(buf, d.Target, c)
+	case SOA:
+		return d.pack(buf, c)
+	case *SOA:
+		return d.pack(buf, c)
+	case MX:
+		return d.pack(buf, c)
+	case *MX:
+		return d.pack(buf, c)
+	}
+	return d.appendRData(buf)
 }
 
 // unpackRData decodes rdata of the given type from msg[off:off+rdlen].

@@ -68,15 +68,21 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 // Snap freezes one histogram's current state — the single-instrument
 // form of Registry.Snapshot, for callers (loadgen) that difference one
 // histogram across a run without scraping the whole registry.
+//
+// Count is the sum of the bucket loads, not a separate load of the
+// histogram's running count: writers in between would otherwise let the
+// buckets run ahead of Count, and quantiles would come from a torn
+// snapshot. Sum is loaded on its own and may lag or lead by the
+// observations in flight.
 func (h *Histogram) Snap() HistogramSnapshot {
 	hs := HistogramSnapshot{
-		Count:  h.Count(),
 		Sum:    h.Sum(),
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
 	}
 	for i := range h.counts {
 		hs.Counts[i] = h.counts[i].Load()
+		hs.Count += hs.Counts[i]
 	}
 	return hs
 }

@@ -189,7 +189,7 @@ func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, 
 	}
 
 	if qtype == dnsmsg.TypeANY {
-		for _, s := range n.sets {
+		for _, s := range n.sortedSets() {
 			a.Answer = s.AppendRRs(a.Answer)
 			if do {
 				if sig, ok := z.Sigs(owner, s.Type); ok {

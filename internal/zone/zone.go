@@ -53,6 +53,8 @@ type Zone struct {
 
 	nodes map[dnsmsg.Name]*node
 	ents  map[dnsmsg.Name]int // empty non-terminals: reference counts
+
+	records int // records Add has inserted (RRSIGs included, duplicates not)
 }
 
 // New creates an empty IN-class zone rooted at origin.
@@ -94,6 +96,7 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 			n.sigs[sig.TypeCovered] = set
 		}
 		set.Data = append(set.Data, rr.Data)
+		z.records++
 		return nil
 	}
 	set := n.sets[rr.Type]
@@ -108,6 +111,7 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 		}
 	}
 	set.Data = append(set.Data, rr.Data)
+	z.records++
 	return nil
 }
 
@@ -172,6 +176,12 @@ func (z *Zone) Sets(name dnsmsg.Name) []*RRSet {
 	if n == nil {
 		return nil
 	}
+	return n.sortedSets()
+}
+
+// sortedSets returns the node's rrsets in ascending type order, so every
+// walk over a node (ANY answers, zone transfer) is deterministic.
+func (n *node) sortedSets() []*RRSet {
 	out := make([]*RRSet, 0, len(n.sets))
 	for _, s := range n.sets {
 		out = append(out, s)
@@ -186,13 +196,8 @@ func (z *Zone) AllRRs() []dnsmsg.RR {
 	var out []dnsmsg.RR
 	for _, name := range z.Names() {
 		n := z.nodes[name]
-		types := make([]dnsmsg.Type, 0, len(n.sets))
-		for t := range n.sets {
-			types = append(types, t)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			out = append(out, n.sets[t].RRs()...)
+		for _, s := range n.sortedSets() {
+			out = append(out, s.RRs()...)
 		}
 		covered := make([]dnsmsg.Type, 0, len(n.sigs))
 		for t := range n.sigs {
@@ -206,19 +211,9 @@ func (z *Zone) AllRRs() []dnsmsg.RR {
 	return out
 }
 
-// RecordCount counts all records including RRSIGs.
-func (z *Zone) RecordCount() int {
-	total := 0
-	for _, n := range z.nodes {
-		for _, s := range n.sets {
-			total += len(s.Data)
-		}
-		for _, s := range n.sigs {
-			total += len(s.Data)
-		}
-	}
-	return total
-}
+// RecordCount returns the number of records in the zone, RRSIGs
+// included. Add keeps the count, so this is O(1).
+func (z *Zone) RecordCount() int { return z.records }
 
 // Cuts returns the delegation points (names below the apex owning NS
 // rrsets) in canonical order. The zone constructor uses these to split

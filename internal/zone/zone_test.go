@@ -238,6 +238,52 @@ func TestQueryANY(t *testing.T) {
 	}
 }
 
+// TestQueryANYDeterministic: an ANY answer lists the owner's rrsets in
+// ascending type order, so its wire form (and the answer-cache entry
+// built from the first one) does not depend on map iteration order.
+func TestQueryANYDeterministic(t *testing.T) {
+	const src = `
+$ORIGIN any.test.
+$TTL 60
+@    IN SOA ns admin 1 7200 3600 1209600 300
+@    IN NS ns
+ns   IN A 192.0.2.53
+multi IN A 192.0.2.1
+multi IN AAAA 2001:db8::1
+multi IN TXT "one"
+multi IN MX 10 ns.any.test.
+multi IN SRV 0 5 53 ns.any.test.
+multi IN NSEC next.any.test. A AAAA TXT MX SRV RRSIG NSEC
+`
+	var first []byte
+	for i := 0; i < 50; i++ {
+		z, err := ParseString(src, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := z.Query("multi.any.test.", dnsmsg.TypeANY, false)
+		if len(a.Answer) != 6 {
+			t.Fatalf("ANY answer has %d records, want 6", len(a.Answer))
+		}
+		for j := 1; j < len(a.Answer); j++ {
+			if a.Answer[j-1].Type >= a.Answer[j].Type {
+				t.Fatalf("ANY answer not in type order: %v before %v", a.Answer[j-1].Type, a.Answer[j].Type)
+			}
+		}
+		m := dnsmsg.Msg{Response: true, Answer: a.Answer}
+		m.Question = []dnsmsg.Question{{Name: "multi.any.test.", Type: dnsmsg.TypeANY, Class: dnsmsg.ClassINET}}
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = wire
+		} else if !bytes.Equal(wire, first) {
+			t.Fatalf("load %d: ANY response packs differently:\n got %x\nwant %x", i, wire, first)
+		}
+	}
+}
+
 func TestQueryOutOfZone(t *testing.T) {
 	z := mustZone(t)
 	a := z.Query("example.org.", dnsmsg.TypeA, false)
@@ -309,6 +355,43 @@ func TestAddDuplicateSuppressed(t *testing.T) {
 	set, _ := z.Lookup("a.d.test.", dnsmsg.TypeA)
 	if len(set.Data) != 1 {
 		t.Errorf("duplicate not suppressed: %d", len(set.Data))
+	}
+}
+
+// TestRecordCountMatchesWalk pins the O(1) RecordCount to a full walk
+// over the zone's rrsets and signatures, with duplicates that Add
+// suppresses and RRSIGs that it keeps.
+func TestRecordCountMatchesWalk(t *testing.T) {
+	z := mustZone(t)
+	rrs := z.AllRRs()
+	for _, rr := range rrs { // every record again: all duplicates
+		if err := z.Add(rr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, name := range z.Names() {
+		for _, s := range z.Sets(name) {
+			sig := dnsmsg.RRSIG{TypeCovered: s.Type, Algorithm: 8, Labels: uint8(name.LabelCount()),
+				OrigTTL: s.TTL, KeyTag: uint16(i), SignerName: z.Origin, Signature: []byte{byte(i)}}
+			if err := z.Add(dnsmsg.RR{Name: name, Type: dnsmsg.TypeRRSIG, Class: dnsmsg.ClassINET, TTL: s.TTL, Data: sig}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	walk := 0
+	for _, n := range z.nodes {
+		for _, s := range n.sets {
+			walk += len(s.Data)
+		}
+		for _, s := range n.sigs {
+			walk += len(s.Data)
+		}
+	}
+	if got := z.RecordCount(); got != walk || walk <= len(rrs) {
+		t.Fatalf("RecordCount %d, full walk %d (unsigned zone had %d)", got, walk, len(rrs))
+	}
+	if got := len(z.AllRRs()); got != walk {
+		t.Fatalf("AllRRs returns %d records, walk counts %d", got, walk)
 	}
 }
 
