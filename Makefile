@@ -56,8 +56,10 @@ fuzz-smoke:
 # results refresh the committed bench.out baseline that CI gates
 # against. The redirect (not a pipe) keeps go test's exit status: a
 # failing benchmark fails the target instead of being masked by tee.
+# The baseline is recorded at GOMAXPROCS=1 (-cpu 1), whatever the
+# machine's core count, so bench-check compares like with like.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./... > bench.tmp || { cat bench.tmp; rm -f bench.tmp; exit 1; }
+	$(GO) test -bench=. -benchmem -cpu 1 -run='^$$' ./... > bench.tmp || { cat bench.tmp; rm -f bench.tmp; exit 1; }
 	mv bench.tmp bench.out
 	cat bench.out
 
@@ -72,9 +74,11 @@ bench:
 # (same run, same fabric — hardware cancels out; see bench_test.go for
 # why the loopback variants are reported but not gated). The third
 # holds the map-free wire encoder to at least twice the messages/s of
-# the map-based reference encoder on DNSSEC-signed responses.
+# the map-based reference encoder on DNSSEC-signed responses. Like
+# bench, it measures at -cpu 1: ldp-benchdiff refuses to compare runs
+# taken at different GOMAXPROCS.
 bench-check:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/transport ./internal/dnsmsg ./internal/server ./internal/zone ./internal/pcap ./internal/netsim ./internal/replay > bench.new || { cat bench.new; rm -f bench.new; exit 1; }
+	$(GO) test -bench=. -benchmem -cpu 1 -run='^$$' ./internal/transport ./internal/dnsmsg ./internal/server ./internal/zone ./internal/pcap ./internal/netsim ./internal/replay > bench.new || { cat bench.new; rm -f bench.new; exit 1; }
 	$(GO) run ./cmd/ldp-benchdiff -baseline bench.out -new bench.new -match 'internal/(transport|dnsmsg|server|zone|pcap|netsim|replay)\.' \
 		-speedup 'recs/s:ldplayer/internal/zone.BenchmarkZoneParseStreaming:ldplayer/internal/zone.BenchmarkZoneParseClassic:10' \
 		-speedup 'qps:ldplayer/internal/replay.BenchmarkReplayFastUDP:ldplayer/internal/replay.BenchmarkReplayFastUDPReference:5' \

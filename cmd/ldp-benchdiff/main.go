@@ -5,10 +5,12 @@
 //	go test -bench=. -benchmem -run='^$' ./internal/transport > bench.new
 //	ldp-benchdiff -baseline bench.out -new bench.new -match 'internal/transport\.BenchmarkExchange'
 //
-// allocs/op is the hard gate (deterministic on any runner): a benchmark
-// whose allocations grow more than -max-allocs-regress (default 20%)
-// fails the run. ns/op is compared but report-only, because wall-clock
-// on shared CI hardware is too noisy to gate on.
+// allocs/op is the hard gate: a benchmark whose allocations grow more
+// than -max-allocs-regress (default 20%) fails the run. ns/op is
+// compared but report-only, because wall-clock on shared CI hardware is
+// too noisy to gate on. Allocation counts of concurrent benchmarks move
+// with GOMAXPROCS, so runs taken at different core counts (the -N name
+// suffix; none means 1) are refused rather than compared.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 
 // result is one benchmark's measurements from one file.
 type result struct {
+	procs       int // GOMAXPROCS the benchmark ran at
 	nsPerOp     float64
 	allocsPerOp float64
 	hasAllocs   bool
@@ -43,8 +46,9 @@ func (r result) metric(unit string) (float64, bool) {
 }
 
 // parseBench reads `go test -bench` output, keying each benchmark as
-// "<pkg>.<name>" with the GOMAXPROCS suffix stripped, so the same
-// benchmark matches across machines with different core counts.
+// "<pkg>.<name>" with the GOMAXPROCS suffix stripped and kept in
+// result.procs (1 when the name has no suffix, as go test prints it at
+// GOMAXPROCS=1).
 func parseBench(path string) (map[string]result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -69,12 +73,13 @@ func parseBench(path string) (map[string]result, error) {
 			continue
 		}
 		name := fields[0]
+		procs := 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
 		}
-		r := result{metrics: map[string]float64{}}
+		r := result{procs: procs, metrics: map[string]float64{}}
 		// After the iteration count come "value unit" pairs.
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -119,6 +124,16 @@ func parseSpeedup(s string) (speedupSpec, error) {
 		return speedupSpec{}, fmt.Errorf("bad minimum ratio %q", parts[3])
 	}
 	return speedupSpec{metric: parts[0], fast: parts[1], slow: parts[2], min: min}, nil
+}
+
+// sameProcs refuses a comparison of one benchmark measured at different
+// GOMAXPROCS on the two sides.
+func sameProcs(key string, base, now result) error {
+	if base.procs != now.procs {
+		return fmt.Errorf("%s: baseline ran at GOMAXPROCS=%d, new run at %d; allocation counts are not comparable across core counts, so rerun with -cpu %d",
+			key, base.procs, now.procs, base.procs)
+	}
+	return nil
 }
 
 func pct(base, now float64) float64 {
@@ -186,6 +201,9 @@ func main() {
 		if !ok {
 			log.Printf("WARN %s: in baseline but not in new run", k)
 			continue
+		}
+		if err := sameProcs(k, b, n); err != nil {
+			log.Fatal(err)
 		}
 		compared++
 		status := "ok  "

@@ -126,9 +126,7 @@ func run(ctx context.Context, opts options, ready chan<- boundAddrs) error {
 		if err != nil {
 			return fmt.Errorf("open %s: %w", path, err)
 		}
-		// Parallel chunked parse: byte-identical to zone.Parse, but a
-		// multi-million-record TLD zone loads on all cores.
-		z, err := zone.ParseParallel(f, "", 0)
+		z, err := zone.Parse(f, "")
 		f.Close() //ldp:nolint errcheck — read-only file; Close carries no data-loss signal
 		if err != nil {
 			return fmt.Errorf("parse %s: %w", path, err)

@@ -56,6 +56,23 @@ type Config struct {
 	Tap Tap
 }
 
+// Per-resolution work limits, BIND's max-recursion-queries and
+// max-recursion-depth defaults. They bound what one client query can
+// cost however the delegations upstream are (mis)configured: two zones
+// whose glue-less nameservers live in each other would otherwise
+// recurse without end.
+const (
+	maxQueriesPerResolution = 100 // upstream queries, sub-resolutions included
+	maxSubResolutionDepth   = 7   // nesting of glue-less nameserver lookups
+)
+
+// budget is one client resolution's allowance, shared by every
+// sub-resolution it starts (CNAME targets, glue-less nameserver names).
+type budget struct {
+	queries int // upstream queries left
+	depth   int // glue-less nameserver lookups currently nested
+}
+
 // Resolver performs iterative resolution.
 type Resolver struct {
 	cfg   Config
@@ -65,7 +82,7 @@ type Resolver struct {
 // Errors the resolver reports.
 var (
 	ErrNoRoots      = errors.New("resolver: no root hints")
-	ErrLoop         = errors.New("resolver: referral loop or depth exceeded")
+	ErrLoop         = errors.New("resolver: referral loop or work budget exceeded")
 	ErrLame         = errors.New("resolver: lame delegation (no usable nameservers)")
 	ErrCNAMEChain   = errors.New("resolver: CNAME chain too long")
 	ErrUpstreamFail = errors.New("resolver: all upstream servers failed")
@@ -97,12 +114,13 @@ func (r *Resolver) Cache() *cache.Cache { return r.cache }
 
 // Resolve answers (qname, qtype) by cache or by walking the hierarchy.
 // The returned message has Rcode and sections filled; the caller stamps
-// ID and header bits for its client.
+// ID and header bits for its client. A resolution that would exceed its
+// work budget fails with ErrLoop.
 func (r *Resolver) Resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type) (*dnsmsg.Msg, error) {
-	return r.resolve(ctx, qname, qtype, 0)
+	return r.resolve(ctx, qname, qtype, 0, &budget{queries: maxQueriesPerResolution})
 }
 
-func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cnameDepth int) (*dnsmsg.Msg, error) {
+func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cnameDepth int, b *budget) (*dnsmsg.Msg, error) {
 	if cnameDepth > r.cfg.MaxCNAME {
 		return nil, ErrCNAMEChain
 	}
@@ -111,14 +129,14 @@ func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.
 		obsCacheHits.Inc()
 		adj := cache.EntryWithAdjustedTTL(e, left)
 		m := &dnsmsg.Msg{Rcode: adj.Rcode, Answer: adj.Answer, Authority: adj.Authority}
-		return r.chaseCNAME(ctx, m, qname, qtype, cnameDepth)
+		return r.chaseCNAME(ctx, m, qname, qtype, cnameDepth, b)
 	}
 	obsCacheMisses.Inc()
 
 	servers := append([]netip.AddrPort(nil), r.cfg.Roots...)
 	seenZones := map[string]bool{}
 	for depth := 0; depth < r.cfg.MaxReferrals; depth++ {
-		resp, err := r.queryAny(ctx, servers, qname, qtype)
+		resp, err := r.queryAny(ctx, servers, qname, qtype, b)
 		if err != nil {
 			return nil, err
 		}
@@ -127,9 +145,9 @@ func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.
 			resp.Rcode == dnsmsg.RcodeSuccess && (len(resp.Answer) > 0 || !hasReferral(resp)):
 			// Terminal: answer, NXDOMAIN, or NODATA.
 			r.store(key, resp)
-			return r.chaseCNAME(ctx, resp, qname, qtype, cnameDepth)
+			return r.chaseCNAME(ctx, resp, qname, qtype, cnameDepth, b)
 		case hasReferral(resp):
-			zoneName, next, err := r.followReferral(ctx, resp)
+			zoneName, next, err := r.followReferral(ctx, resp, b)
 			if err != nil {
 				return nil, err
 			}
@@ -147,7 +165,7 @@ func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.
 
 // chaseCNAME restarts resolution at an alias target when the answer ends
 // in a CNAME without covering qtype.
-func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.Name, qtype dnsmsg.Type, depth int) (*dnsmsg.Msg, error) {
+func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.Name, qtype dnsmsg.Type, depth int, b *budget) (*dnsmsg.Msg, error) {
 	if qtype == dnsmsg.TypeCNAME || len(m.Answer) == 0 {
 		return m, nil
 	}
@@ -163,7 +181,7 @@ func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.N
 			return m, nil
 		}
 	}
-	sub, err := r.resolve(ctx, cn.Target, qtype, depth+1)
+	sub, err := r.resolve(ctx, cn.Target, qtype, depth+1, b)
 	if err != nil {
 		return m, nil // serve the partial chain; clients retry the target
 	}
@@ -174,8 +192,10 @@ func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.N
 }
 
 // followReferral extracts the delegated zone and nameserver addresses
-// from a referral, resolving glue-less NS names as needed.
-func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg) (dnsmsg.Name, []netip.AddrPort, error) {
+// from a referral, resolving glue-less NS names as needed. Those
+// lookups spend the caller's budget and nest at most
+// maxSubResolutionDepth deep.
+func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg, b *budget) (dnsmsg.Name, []netip.AddrPort, error) {
 	var zoneName dnsmsg.Name
 	var nsNames []dnsmsg.Name
 	for _, rr := range resp.Authority {
@@ -197,8 +217,20 @@ func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg) (dnsmsg
 		return zoneName, addrs, nil
 	}
 	// Glue-less delegation: resolve the nameserver names themselves.
+	if b.depth >= maxSubResolutionDepth {
+		return zoneName, nil, ErrLoop
+	}
+	b.depth++
+	defer func() { b.depth-- }()
+	noAddrs := ErrLame
 	for _, ns := range nsNames {
-		sub, err := r.resolve(ctx, ns, dnsmsg.TypeA, 0)
+		sub, err := r.resolve(ctx, ns, dnsmsg.TypeA, 0, b)
+		if errors.Is(err, ErrLoop) {
+			noAddrs = ErrLoop
+			if b.queries <= 0 {
+				break
+			}
+		}
 		if err != nil {
 			continue
 		}
@@ -212,15 +244,20 @@ func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg) (dnsmsg
 		}
 	}
 	if len(addrs) == 0 {
-		return zoneName, nil, ErrLame
+		return zoneName, nil, noAddrs
 	}
 	return zoneName, addrs, nil
 }
 
-// queryAny tries each server in turn until one responds.
-func (r *Resolver) queryAny(ctx context.Context, servers []netip.AddrPort, qname dnsmsg.Name, qtype dnsmsg.Type) (*dnsmsg.Msg, error) {
+// queryAny tries each server in turn until one responds, each try
+// spending one query of the budget.
+func (r *Resolver) queryAny(ctx context.Context, servers []netip.AddrPort, qname dnsmsg.Name, qtype dnsmsg.Type, b *budget) (*dnsmsg.Msg, error) {
 	var lastErr error = ErrUpstreamFail
 	for i, srv := range servers {
+		if b.queries <= 0 {
+			return nil, ErrLoop
+		}
+		b.queries--
 		if i > 0 {
 			obsUpstreamRetries.Inc()
 		}

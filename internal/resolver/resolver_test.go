@@ -6,9 +6,12 @@ import (
 	"net/netip"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ldplayer/internal/dnsmsg"
 	"ldplayer/internal/server"
+	"ldplayer/internal/transport"
+	"ldplayer/internal/vnet"
 	"ldplayer/internal/zone"
 )
 
@@ -304,4 +307,65 @@ func TestNoDataCaching(t *testing.T) {
 	if h.exchanges.Load() == before {
 		t.Error("distinct qtype served from the wrong cache entry")
 	}
+}
+
+// TestMutualGluelessDelegationBounded is the regression test for
+// unbounded recursion: a.com's only nameserver is ns.b.com and b.com's
+// is ns.a.com, neither with glue, so resolving either nameserver name
+// needs the other first. Over the vnet fabric the resolver must give up
+// with ErrLoop after a bounded number of upstream queries, counted by
+// resolver.upstream.queries.
+func TestMutualGluelessDelegationBounded(t *testing.T) {
+	const comText = `
+$ORIGIN com.
+$TTL 172800
+@ IN SOA a.gtld-servers.net. nstld. 1 1800 900 604800 86400
+@ IN NS a.gtld-servers.net.
+a IN NS ns.b.com.
+b IN NS ns.a.com.
+`
+	net := vnet.New()
+	for addr, text := range map[netip.AddrPort]string{rootAddr: rootZoneText, comAddr: comText} {
+		z, err := zone.ParseString(text, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := server.New(server.Config{})
+		if err := s.AddZone(z); err != nil {
+			t.Fatal(err)
+		}
+		net.Attach(addr.Addr(), func(pkt vnet.Packet) {
+			var q dnsmsg.Msg
+			if err := q.Unpack(pkt.Payload); err != nil {
+				return
+			}
+			wire, err := s.HandleQuery(pkt.Src.Addr(), &q, 0).Pack()
+			if err != nil {
+				return
+			}
+			_ = net.Send(vnet.Packet{Src: pkt.Dst, Dst: pkt.Src, Payload: wire}) //ldp:nolint errcheck — an undeliverable reply is a lost packet
+		})
+	}
+	host := transport.NewVNetHost(net, netip.MustParseAddr("10.0.0.53"))
+	defer host.Close()
+	r, err := New(Config{
+		Roots:    []netip.AddrPort{rootAddr},
+		Exchange: &transport.Exchanger{Dialer: host, DisableTCPFallback: true},
+		EDNSSize: 4096,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	before := obsUpstreamQueries.Value()
+	_, err = r.Resolve(ctx, "www.a.com.", dnsmsg.TypeA)
+	queries := obsUpstreamQueries.Value() - before
+	if !errors.Is(err, ErrLoop) {
+		t.Errorf("Resolve = %v, want ErrLoop", err)
+	}
+	if queries > maxQueriesPerResolution {
+		t.Errorf("%d upstream queries, budget is %d", queries, maxQueriesPerResolution)
+	}
+	t.Logf("gave up after %d upstream queries", queries)
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
+	"strings"
 	"testing"
 
 	"ldplayer/internal/dnsmsg"
@@ -127,16 +127,30 @@ func BenchmarkZoneParseToZone(b *testing.B) {
 	reportRecs(b, recs)
 }
 
-// BenchmarkZoneParseParallel is the chunked multi-core path ldp-server
-// loads zones through; informational.
-func BenchmarkZoneParseParallel(b *testing.B) {
-	data, recs := benchZoneText(b)
+// BenchmarkZoneLoadDelegations loads a TLD-shaped master file — 50k
+// delegations, each an NS record plus an address record for its
+// in-bailiwick nameserver — the shape of the zones a meta-server
+// rebuilds from traces, where building the node table, not tokenizing,
+// dominates the load.
+func BenchmarkZoneLoadDelegations(b *testing.B) {
+	const delegations = 50000
+	var sb strings.Builder
+	sb.WriteString("$ORIGIN tld.\n$TTL 172800\n@ IN SOA a.nic.tld. hostmaster.nic.tld. 1 1800 900 604800 86400\n@ IN NS a.nic.tld.\na.nic IN A 192.0.2.1\n")
+	for i := 0; i < delegations; i++ {
+		fmt.Fprintf(&sb, "d%d IN NS ns1.d%d.tld.\nns1.d%d IN A 10.%d.%d.%d\n", i, i, i, i>>16&255, i>>8&255, i&255)
+	}
+	data := []byte(sb.String())
+	recs := 3 + 2*delegations
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parseParallel(data, "", runtime.GOMAXPROCS(0), 0); err != nil {
+		z, err := Parse(bytes.NewReader(data), "")
+		if err != nil {
 			b.Fatal(err)
+		}
+		if z.RecordCount() != recs {
+			b.Fatalf("loaded %d records, want %d", z.RecordCount(), recs)
 		}
 	}
 	reportRecs(b, recs)

@@ -87,22 +87,22 @@ func FuzzZoneParseDifferential(f *testing.F) {
 				t.Fatalf("zone mismatch:\nstreaming:\n%s\nreference:\n%s", bs.String(), br.String())
 			}
 		}
-		// The parallel parser must agree too, under a chunk size small
-		// enough that fuzz-sized inputs actually split.
-		zp, ep := parseParallel([]byte(text), "fuzz.test.", 4, 32)
-		if (es == nil) != (ep == nil) {
-			t.Fatalf("parallel accept/reject mismatch: sequential=%v parallel=%v", es, ep)
+		// A load through short reads, which split lines and records
+		// across the tokenizer's window refills, must agree too.
+		zc, ec := Parse(&shortReader{data: []byte(text), n: 7}, "fuzz.test.")
+		if (es == nil) != (ec == nil) {
+			t.Fatalf("short-read accept/reject mismatch: whole=%v short=%v", es, ec)
 		}
 		if es != nil {
-			if es.Error() != ep.Error() {
-				t.Fatalf("parallel error mismatch:\nsequential: %q\nparallel: %q", es.Error(), ep.Error())
+			if es.Error() != ec.Error() {
+				t.Fatalf("short-read error mismatch:\nwhole: %q\nshort: %q", es.Error(), ec.Error())
 			}
 		} else {
-			var bs, bp bytes.Buffer
+			var bs, bc bytes.Buffer
 			zs.WriteTo(&bs) //ldp:nolint errcheck — bytes.Buffer cannot fail
-			zp.WriteTo(&bp) //ldp:nolint errcheck — bytes.Buffer cannot fail
-			if !bytes.Equal(bs.Bytes(), bp.Bytes()) {
-				t.Fatalf("parallel zone mismatch:\nsequential:\n%s\nparallel:\n%s", bs.String(), bp.String())
+			zc.WriteTo(&bc) //ldp:nolint errcheck — bytes.Buffer cannot fail
+			if !bytes.Equal(bs.Bytes(), bc.Bytes()) {
+				t.Fatalf("short-read zone mismatch:\nwhole:\n%s\nshort:\n%s", bs.String(), bc.String())
 			}
 		}
 	})

@@ -102,10 +102,8 @@ func (z *Zone) findCut(qname dnsmsg.Name) (dnsmsg.Name, bool) {
 	var cut dnsmsg.Name
 	found := false
 	for n := qname; n != z.Origin; n = n.Parent() {
-		if node := z.nodes[n]; node != nil {
-			if _, hasNS := node.sets[dnsmsg.TypeNS]; hasNS {
-				cut, found = n, true
-			}
+		if node := z.nodes[n]; node != nil && node.set(dnsmsg.TypeNS) != nil {
+			cut, found = n, true
 		}
 		if n.IsRoot() {
 			break
@@ -149,24 +147,21 @@ func (z *Zone) referral(a *Answer, cut dnsmsg.Name, do bool) {
 }
 
 // answerAt resolves qname at owner (differing from qname only while
-// chasing CNAMEs) against the zone's node data.
+// chasing CNAMEs, or at a wildcard owner) against the zone's node data.
+// An empty non-terminal's node holds no sets, so it falls through to
+// NODATA like any name without the asked-for type.
 func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, do bool, depth int) {
 	n := z.nodes[owner]
 	if n == nil {
-		if z.ents[owner] > 0 {
-			// Empty non-terminal: exists, but holds nothing (NODATA).
-			z.noData(a, do)
-			return
-		}
 		z.tryWildcard(a, owner, qtype, do, depth)
 		return
 	}
 
 	// CNAME takes over unless the query asks for CNAME (or ANY).
-	if cname, ok := n.sets[dnsmsg.TypeCNAME]; ok && qtype != dnsmsg.TypeCNAME && qtype != dnsmsg.TypeANY {
+	if cname := n.set(dnsmsg.TypeCNAME); cname != nil && qtype != dnsmsg.TypeCNAME && qtype != dnsmsg.TypeANY {
 		a.Answer = cname.AppendRRs(a.Answer)
 		if do {
-			if sig, ok := z.Sigs(owner, dnsmsg.TypeCNAME); ok {
+			if sig := n.sig(dnsmsg.TypeCNAME); sig != nil {
 				a.Answer = sig.AppendRRs(a.Answer)
 			}
 		}
@@ -189,10 +184,10 @@ func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, 
 	}
 
 	if qtype == dnsmsg.TypeANY {
-		for _, s := range n.sortedSets() {
+		for _, s := range n.sets {
 			a.Answer = s.AppendRRs(a.Answer)
 			if do {
-				if sig, ok := z.Sigs(owner, s.Type); ok {
+				if sig := n.sig(s.Type); sig != nil {
 					a.Answer = sig.AppendRRs(a.Answer)
 				}
 			}
@@ -206,7 +201,7 @@ func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, 
 		return
 	}
 
-	if s, ok := n.sets[qtype]; ok {
+	if s := n.set(qtype); s != nil {
 		if owner != qname {
 			// Wildcard synthesis: rewrite the owner to the query name.
 			for _, rr := range s.RRs() {
@@ -217,7 +212,7 @@ func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, 
 			a.Answer = s.AppendRRs(a.Answer)
 		}
 		if do {
-			if sig, ok := z.Sigs(owner, qtype); ok {
+			if sig := n.sig(qtype); sig != nil {
 				if owner != qname {
 					for _, rr := range sig.RRs() {
 						rr.Name = qname
@@ -250,10 +245,11 @@ func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, 
 // tryWildcard looks for *.closest-encloser per RFC 1034 §4.3.3 (RFC 4592
 // semantics, simplified to the cases exercised by the experiments).
 func (z *Zone) tryWildcard(a *Answer, qname dnsmsg.Name, qtype dnsmsg.Type, do bool, depth int) {
-	// Find the closest encloser: the longest existing ancestor.
+	// Find the closest encloser: the longest existing ancestor, empty
+	// non-terminals included.
 	enc := qname.Parent()
 	for ; ; enc = enc.Parent() {
-		if enc == z.Origin || z.nodes[enc] != nil || z.ents[enc] > 0 {
+		if enc == z.Origin || z.nodes[enc] != nil {
 			break
 		}
 		if enc.IsRoot() {
@@ -264,7 +260,7 @@ func (z *Zone) tryWildcard(a *Answer, qname dnsmsg.Name, qtype dnsmsg.Type, do b
 	if enc.IsRoot() {
 		wild = "*."
 	}
-	if z.nodes[wild] != nil {
+	if w := z.nodes[wild]; w != nil && w.hasData() {
 		z.answerAt(a, qname, wild, qtype, do, depth)
 		if do && a.Result == ResultAnswer {
 			// A wildcard answer also proves no closer match exists.

@@ -10,7 +10,9 @@
 package zone
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ldplayer/internal/dnsmsg"
@@ -40,10 +42,55 @@ func (s *RRSet) AppendRRs(dst []dnsmsg.RR) []dnsmsg.RR {
 	return dst
 }
 
-// node holds all rrsets at one owner name plus the RRSIGs covering them.
+// node is one entry of the zone's node table: the rrsets at one owner
+// name in ascending type order, the RRSIG sets covering them in
+// ascending covered-type order, and whether some name below it holds
+// data (an empty non-terminal when it holds none itself). A node holds
+// a handful of types, so scanning these slices beats hashing into a
+// per-node map and keeps ANY and AXFR order ascending by construction.
+//
+// Most owners in a large zone (a delegation, its glue) hold one rrset
+// of one record. The node carries storage for its first set and that
+// set's first record, so such an owner allocates no set, no set slice
+// and no record slice.
 type node struct {
-	sets map[dnsmsg.Type]*RRSet
-	sigs map[dnsmsg.Type]*RRSet // TypeCovered -> RRSIG rrset
+	sets []*RRSet
+	sigs []sigSet
+	ent  bool
+
+	first     RRSet
+	firstSet  [1]*RRSet
+	firstData [1]dnsmsg.RData
+}
+
+// sigSet is the RRSIG set covering one type at a node.
+type sigSet struct {
+	covered dnsmsg.Type
+	set     *RRSet
+}
+
+// hasData reports whether the node owns records; a node without any is
+// an empty non-terminal, present only for the names below it.
+func (n *node) hasData() bool { return len(n.sets) > 0 || len(n.sigs) > 0 }
+
+// set returns the node's rrset of type t, or nil.
+func (n *node) set(t dnsmsg.Type) *RRSet {
+	for _, s := range n.sets {
+		if s.Type == t {
+			return s
+		}
+	}
+	return nil
+}
+
+// sig returns the RRSIG set covering type t, or nil.
+func (n *node) sig(t dnsmsg.Type) *RRSet {
+	for _, s := range n.sigs {
+		if s.covered == t {
+			return s.set
+		}
+	}
+	return nil
 }
 
 // Zone is one zone of authority rooted at Origin.
@@ -51,10 +98,14 @@ type Zone struct {
 	Origin dnsmsg.Name
 	Class  dnsmsg.Class
 
+	// nodes holds every owner name and every empty non-terminal between
+	// an owner and the apex.
 	nodes map[dnsmsg.Name]*node
-	ents  map[dnsmsg.Name]int // empty non-terminals: reference counts
 
-	records int // records Add has inserted (RRSIGs included, duplicates not)
+	records  int    // records Add has inserted (RRSIGs included, duplicates not)
+	conflict error  // first CNAME conflict Add saw, reported by Validate
+	scratch  []byte // rdata encodings for duplicate checks
+	slab     []node // storage newNode hands nodes out of
 }
 
 // New creates an empty IN-class zone rooted at origin.
@@ -63,7 +114,6 @@ func New(origin dnsmsg.Name) *Zone {
 		Origin: origin,
 		Class:  dnsmsg.ClassINET,
 		nodes:  make(map[dnsmsg.Name]*node),
-		ents:   make(map[dnsmsg.Name]int),
 	}
 }
 
@@ -73,65 +123,110 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 	if !rr.Name.IsSubdomainOf(z.Origin) {
 		return fmt.Errorf("zone %s: record %s out of zone", z.Origin, rr.Name)
 	}
-	n := z.nodes[rr.Name]
-	if n == nil {
-		n = &node{sets: make(map[dnsmsg.Type]*RRSet)}
-		z.nodes[rr.Name] = n
-		// Register empty non-terminals on the path from origin to owner.
-		for p := rr.Name.Parent(); p != z.Origin && p.IsSubdomainOf(z.Origin); p = p.Parent() {
-			z.ents[p]++
-		}
-	}
+	var sig dnsmsg.RRSIG
 	if rr.Type == dnsmsg.TypeRRSIG {
-		sig, ok := rr.Data.(dnsmsg.RRSIG)
-		if !ok {
+		var ok bool
+		if sig, ok = rr.Data.(dnsmsg.RRSIG); !ok {
 			return fmt.Errorf("zone %s: RRSIG with wrong rdata at %s", z.Origin, rr.Name)
 		}
-		if n.sigs == nil {
-			n.sigs = make(map[dnsmsg.Type]*RRSet)
+	}
+	n := z.node(rr.Name)
+	if rr.Type == dnsmsg.TypeRRSIG {
+		i := 0
+		for i < len(n.sigs) && n.sigs[i].covered < sig.TypeCovered {
+			i++
 		}
-		set := n.sigs[sig.TypeCovered]
-		if set == nil {
-			set = &RRSet{Name: rr.Name, Type: dnsmsg.TypeRRSIG, Class: rr.Class, TTL: rr.TTL}
-			n.sigs[sig.TypeCovered] = set
+		if i == len(n.sigs) || n.sigs[i].covered != sig.TypeCovered {
+			set := &RRSet{Name: rr.Name, Type: dnsmsg.TypeRRSIG, Class: rr.Class, TTL: rr.TTL}
+			n.sigs = slices.Insert(n.sigs, i, sigSet{covered: sig.TypeCovered, set: set})
 		}
-		set.Data = append(set.Data, rr.Data)
+		n.sigs[i].set.Data = append(n.sigs[i].set.Data, rr.Data)
 		z.records++
 		return nil
 	}
-	set := n.sets[rr.Type]
-	if set == nil {
-		set = &RRSet{Name: rr.Name, Type: rr.Type, Class: rr.Class, TTL: rr.TTL}
-		n.sets[rr.Type] = set
+	i := 0
+	for i < len(n.sets) && n.sets[i].Type < rr.Type {
+		i++
 	}
-	// Duplicate suppression keeps zone construction from traces idempotent.
-	for _, d := range set.Data {
-		if dataEqual(d, rr.Data) {
-			return nil
-		}
+	switch {
+	case len(n.sets) == 0:
+		n.first = RRSet{Name: rr.Name, Type: rr.Type, Class: rr.Class, TTL: rr.TTL, Data: n.firstData[:0]}
+		n.firstSet[0] = &n.first
+		n.sets = n.firstSet[:]
+	case i == len(n.sets) || n.sets[i].Type != rr.Type:
+		n.sets = slices.Insert(n.sets, i, &RRSet{Name: rr.Name, Type: rr.Type, Class: rr.Class, TTL: rr.TTL})
+	case z.duplicate(n.sets[i], rr.Data):
+		// Duplicate suppression keeps zone construction from traces idempotent.
+		return nil
 	}
+	set := n.sets[i]
 	set.Data = append(set.Data, rr.Data)
 	z.records++
-	return nil
-}
-
-func dataEqual(a, b dnsmsg.RData) bool {
-	ab, errA := dnsmsg.AppendRData(nil, a)
-	bb, errB := dnsmsg.AppendRData(nil, b)
-	if errA != nil || errB != nil {
-		return false
-	}
-	return string(ab) == string(bb)
-}
-
-// AddRRSet inserts every record of a set.
-func (z *Zone) AddRRSet(s *RRSet) error {
-	for _, rr := range s.RRs() {
-		if err := z.Add(rr); err != nil {
-			return err
+	if z.conflict == nil {
+		if cname := n.set(dnsmsg.TypeCNAME); cname != nil {
+			if len(n.sets) > 1 {
+				z.conflict = fmt.Errorf("zone %s: CNAME and other data at %s", z.Origin, rr.Name)
+			} else if len(cname.Data) > 1 {
+				z.conflict = fmt.Errorf("zone %s: multiple CNAMEs at %s", z.Origin, rr.Name)
+			}
 		}
 	}
 	return nil
+}
+
+// node returns the table entry for an in-zone owner, creating it — and
+// flagging its ancestors up to the apex as non-terminals — on first
+// use. Add never removes data, so a flag never clears, and any ancestor
+// already in the table had its own ancestors flagged when it was made:
+// the walk stops there.
+func (z *Zone) node(name dnsmsg.Name) *node {
+	n := z.nodes[name]
+	if n == nil {
+		n = z.newNode()
+		z.nodes[name] = n
+		for p := name.Parent(); p != z.Origin && p.IsSubdomainOf(z.Origin); p = p.Parent() {
+			if a := z.nodes[p]; a != nil {
+				a.ent = true
+				break
+			}
+			a := z.newNode()
+			a.ent = true
+			z.nodes[p] = a
+		}
+	}
+	return n
+}
+
+// newNode hands out the next node of the zone's current slab. Nodes are
+// never freed one by one, so allocating them in slabs saves an
+// allocation per owner and leaves the collector fewer objects to mark;
+// slabs double from 4 nodes up to 128, so a small zone wastes little.
+func (z *Zone) newNode() *node {
+	if len(z.slab) == cap(z.slab) {
+		z.slab = make([]node, 0, min(max(2*cap(z.slab), 4), 128))
+	}
+	z.slab = z.slab[:len(z.slab)+1]
+	return &z.slab[len(z.slab)-1]
+}
+
+// duplicate reports whether set already holds rdata whose wire form is
+// byte-identical to d's. Both encodings go into the zone's reused
+// scratch buffer, so the check allocates nothing once it has grown.
+func (z *Zone) duplicate(set *RRSet, d dnsmsg.RData) bool {
+	want, err := dnsmsg.AppendRData(z.scratch[:0], d)
+	if err != nil {
+		return false
+	}
+	z.scratch = want
+	for _, have := range set.Data {
+		if buf, err := dnsmsg.AppendRData(want, have); err == nil {
+			z.scratch = buf
+			if bytes.Equal(want, buf[len(want):]) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Lookup returns the rrset for (name, type) if it exists verbatim.
@@ -140,18 +235,18 @@ func (z *Zone) Lookup(name dnsmsg.Name, t dnsmsg.Type) (*RRSet, bool) {
 	if n == nil {
 		return nil, false
 	}
-	s, ok := n.sets[t]
-	return s, ok
+	s := n.set(t)
+	return s, s != nil
 }
 
 // Sigs returns the RRSIG set covering (name, coveredType), if present.
 func (z *Zone) Sigs(name dnsmsg.Name, covered dnsmsg.Type) (*RRSet, bool) {
 	n := z.nodes[name]
-	if n == nil || n.sigs == nil {
+	if n == nil {
 		return nil, false
 	}
-	s, ok := n.sigs[covered]
-	return s, ok
+	s := n.sig(covered)
+	return s, s != nil
 }
 
 // SOA returns the zone's SOA rrset, or nil when the zone is not complete.
@@ -160,34 +255,33 @@ func (z *Zone) SOA() *RRSet {
 	return s
 }
 
-// Names returns every owner name in DNSSEC canonical order.
+// Names returns every owner name in DNSSEC canonical order. Empty
+// non-terminals own nothing and are not listed.
 func (z *Zone) Names() []dnsmsg.Name {
-	out := make([]dnsmsg.Name, 0, len(z.nodes))
-	for n := range z.nodes {
-		out = append(out, n)
+	return z.sortedNames(func(n *node) bool { return n.hasData() })
+}
+
+// sortedNames returns the names whose nodes satisfy keep, in canonical
+// order.
+func (z *Zone) sortedNames(keep func(*node) bool) []dnsmsg.Name {
+	var out []dnsmsg.Name
+	for name, n := range z.nodes {
+		if keep(n) {
+			out = append(out, name)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return dnsmsg.CanonicalLess(out[i], out[j]) })
 	return out
 }
 
-// Sets returns all rrsets at a name (not RRSIGs), nil if the name has none.
+// Sets returns all rrsets at a name (not RRSIGs) in ascending type
+// order, nil if the name has none.
 func (z *Zone) Sets(name dnsmsg.Name) []*RRSet {
 	n := z.nodes[name]
-	if n == nil {
+	if n == nil || len(n.sets) == 0 {
 		return nil
 	}
-	return n.sortedSets()
-}
-
-// sortedSets returns the node's rrsets in ascending type order, so every
-// walk over a node (ANY answers, zone transfer) is deterministic.
-func (n *node) sortedSets() []*RRSet {
-	out := make([]*RRSet, 0, len(n.sets))
-	for _, s := range n.sets {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Type < out[j].Type })
-	return out
+	return slices.Clone(n.sets)
 }
 
 // AllRRs returns every record in the zone (including RRSIGs), owners in
@@ -196,16 +290,11 @@ func (z *Zone) AllRRs() []dnsmsg.RR {
 	var out []dnsmsg.RR
 	for _, name := range z.Names() {
 		n := z.nodes[name]
-		for _, s := range n.sortedSets() {
-			out = append(out, s.RRs()...)
+		for _, s := range n.sets {
+			out = s.AppendRRs(out)
 		}
-		covered := make([]dnsmsg.Type, 0, len(n.sigs))
-		for t := range n.sigs {
-			covered = append(covered, t)
-		}
-		sort.Slice(covered, func(i, j int) bool { return covered[i] < covered[j] })
-		for _, t := range covered {
-			out = append(out, n.sigs[t].RRs()...)
+		for _, s := range n.sigs {
+			out = s.set.AppendRRs(out)
 		}
 	}
 	return out
@@ -219,22 +308,14 @@ func (z *Zone) RecordCount() int { return z.records }
 // rrsets) in canonical order. The zone constructor uses these to split
 // intermediate zones.
 func (z *Zone) Cuts() []dnsmsg.Name {
-	var out []dnsmsg.Name
-	for name, n := range z.nodes {
-		if name == z.Origin {
-			continue
-		}
-		if _, ok := n.sets[dnsmsg.TypeNS]; ok {
-			out = append(out, name)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return dnsmsg.CanonicalLess(out[i], out[j]) })
-	return out
+	apex := z.nodes[z.Origin]
+	return z.sortedNames(func(n *node) bool { return n != apex && n.set(dnsmsg.TypeNS) != nil })
 }
 
 // Validate checks the structural invariants a loadable zone must satisfy:
 // an SOA at the apex, NS records at the apex, and no CNAME coexisting
-// with other data at a name (RFC 1034 §3.6.2).
+// with other data at a name (RFC 1034 §3.6.2). Add records the first
+// CNAME conflict in insertion order, so Validate does not walk the zone.
 func (z *Zone) Validate() error {
 	if z.SOA() == nil {
 		return fmt.Errorf("zone %s: missing SOA at apex", z.Origin)
@@ -242,13 +323,5 @@ func (z *Zone) Validate() error {
 	if _, ok := z.Lookup(z.Origin, dnsmsg.TypeNS); !ok {
 		return fmt.Errorf("zone %s: missing NS at apex", z.Origin)
 	}
-	for name, n := range z.nodes {
-		if _, hasCNAME := n.sets[dnsmsg.TypeCNAME]; hasCNAME && len(n.sets) > 1 {
-			return fmt.Errorf("zone %s: CNAME and other data at %s", z.Origin, name)
-		}
-		if s, ok := n.sets[dnsmsg.TypeCNAME]; ok && len(s.Data) > 1 {
-			return fmt.Errorf("zone %s: multiple CNAMEs at %s", z.Origin, name)
-		}
-	}
-	return nil
+	return z.conflict
 }

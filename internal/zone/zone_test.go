@@ -2,6 +2,7 @@ package zone
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -358,6 +359,67 @@ func TestAddDuplicateSuppressed(t *testing.T) {
 	}
 }
 
+// TestValidateFirstConflict: Validate reports the first CNAME conflict
+// in insertion order, the same one on every load.
+func TestValidateFirstConflict(t *testing.T) {
+	const text = `$ORIGIN v.test.
+@ IN SOA ns admin 1 1 1 1 1
+@ IN NS ns
+ns IN A 192.0.2.1
+m1 IN A 192.0.2.2
+m9 IN CNAME a.v.test.
+m9 IN CNAME b.v.test.
+m5 IN CNAME a.v.test.
+m5 IN A 192.0.2.3
+m1 IN CNAME a.v.test.
+`
+	const want = "zone v.test.: multiple CNAMEs at m9.v.test."
+	for i := 0; i < 50; i++ {
+		z, err := ParseString(text, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := z.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("load %d: Validate = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestAddDuplicateCheckNoAlloc: the duplicate check encodes rdata into
+// the zone's reused scratch buffer, so adding the 13th NS to a set
+// allocates at most the append that grows the set.
+func TestAddDuplicateCheckNoAlloc(t *testing.T) {
+	const runs = 20
+	zones := make([]*Zone, runs+1)
+	rrs := make([]dnsmsg.RR, runs+1)
+	ns := func(i int) dnsmsg.RR {
+		return dnsmsg.RR{Name: "d.test.", Type: dnsmsg.TypeNS, Class: dnsmsg.ClassINET, TTL: 60,
+			Data: dnsmsg.NS{Host: dnsmsg.Name(fmt.Sprintf("ns%d.example.", i))}}
+	}
+	for i := range zones {
+		zones[i] = New("d.test.")
+		for j := 0; j < 12; j++ {
+			if err := zones[i].Add(ns(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rrs[i] = ns(12)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := zones[i].Add(rrs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 1 {
+		t.Errorf("adding the 13th NS allocated %.1f times, want at most 1 (the append)", allocs)
+	}
+	if set, _ := zones[0].Lookup("d.test.", dnsmsg.TypeNS); len(set.Data) != 13 {
+		t.Fatalf("set holds %d records, want 13", len(set.Data))
+	}
+}
+
 // TestRecordCountMatchesWalk pins the O(1) RecordCount to a full walk
 // over the zone's rrsets and signatures, with duplicates that Add
 // suppresses and RRSIGs that it keeps.
@@ -384,7 +446,7 @@ func TestRecordCountMatchesWalk(t *testing.T) {
 			walk += len(s.Data)
 		}
 		for _, s := range n.sigs {
-			walk += len(s.Data)
+			walk += len(s.set.Data)
 		}
 	}
 	if got := z.RecordCount(); got != walk || walk <= len(rrs) {
